@@ -20,6 +20,7 @@
 //! per-layer figures instead of the end-to-end ones and writes the spans to
 //! `.bench_out/spans-<workload>.csv`. Failed correctness checks exit 1.
 
+mod awake;
 mod engine;
 mod est;
 mod report;
@@ -119,10 +120,12 @@ const BURST: usize = 20_000;
 const SLO_US: f64 = 10_000.0;
 
 fn service_spec(seconds: f64, reference_share: f64) -> ServiceSpec {
+    // At least one rung's worth of latency windows, however short the run.
+    let shortest = (service::RUNG_WINDOWS * service::WINDOW) as f64 / REFERENCE_RATE;
     ServiceSpec {
         reference_rate: REFERENCE_RATE,
         warmup: Duration::from_secs_f64(0.25),
-        reference: Duration::from_secs_f64(seconds * reference_share),
+        reference: Duration::from_secs_f64((seconds * reference_share).max(shortest)),
         ladder: LADDER.to_vec(),
         slo_us: SLO_US,
         burst: BURST,
@@ -145,9 +148,6 @@ fn plan(workload: &str, seconds: f64) -> Plan {
         mix: SimMix::Ycsb(YcsbConfig::write_intensive(0.6)),
         warmup_cycles: measure_cycles / 4,
         measure_cycles,
-        // Only the long window is long enough for the phase totals to add
-        // up (see `SimSpec::conservation`).
-        conservation: measure_cycles >= 2_000_000,
         sweeps,
     };
     match workload {
@@ -177,7 +177,6 @@ fn plan(workload: &str, seconds: f64) -> Plan {
                 mix: SimMix::Tpcc(sim::CORES),
                 warmup_cycles: 125_000,
                 measure_cycles: 500_000,
-                conservation: false,
                 sweeps: 3,
             },
         },
